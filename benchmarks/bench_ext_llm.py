@@ -5,7 +5,7 @@
 Token-by-token decode of the ``tiny_llm`` transformer block on every
 registered backend at int8/int4/int2: growing-sequence GEMM shapes
 through the dynamic-token linear stages, per-token latency
-percentiles, and batched/fused/per-image/sharded bit-identity verified
+percentiles, and batched/per-image/sharded bit-identity verified
 in-driver at every point.
 
 Run directly::
@@ -50,7 +50,7 @@ def run(
         out_dir=RESULTS_DIR if write else None,
     )
     # Contract checks: the sweep covers every backend x precision, and
-    # every point decoded bit-identically across the batched, fused,
+    # every point decoded bit-identically across the batched,
     # per-image and sharded paths with TubMatVec cycle parity.
     points = {
         (record["backend"], record["precision"])

@@ -408,6 +408,31 @@ def burst_map_cache_stats() -> dict:
     }
 
 
+#: The counters a per-run cache record carries (deltas, summable
+#: across jobs and workers).
+CACHE_COUNTERS = ("hits", "misses", "disk_hits", "disk_misses",
+                  "disk_writes")
+
+
+def cache_record(counts) -> dict:
+    """A per-run cache record: the :data:`CACHE_COUNTERS` plus
+    ``hit_rate`` = hits / lookups (0.0 when nothing was looked up —
+    renderers show such a run as ``-``, not as a 0% hit rate)."""
+    record = {key: int(counts.get(key, 0)) for key in CACHE_COUNTERS}
+    lookups = record["hits"] + record["misses"]
+    record["hit_rate"] = record["hits"] / lookups if lookups else 0.0
+    return record
+
+
+def burst_map_cache_delta(before: dict) -> dict:
+    """The :func:`cache_record` of everything since ``before`` (a
+    :func:`burst_map_cache_stats` snapshot) in this process."""
+    after = burst_map_cache_stats()
+    return cache_record(
+        {key: after[key] - before[key] for key in CACHE_COUNTERS}
+    )
+
+
 def clear_burst_map_cache() -> None:
     """Drop all in-memory maps and reset the counters (and claim the
     cache for the current process).  The persistent tier's entries

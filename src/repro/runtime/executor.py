@@ -24,28 +24,28 @@ from collections import OrderedDict
 
 import numpy as np
 
-from repro.core.latency import burst_map_cache_stats
+from repro.core.latency import burst_map_cache_delta, \
+    burst_map_cache_stats
 from repro.errors import DataflowError
-from repro.nvdla.dataflow import golden_conv2d_batched
 from repro.nvdla.pdp import Pdp
 from repro.nvdla.pipeline import StageResult
-from repro.nvdla.sdp import Sdp, _rounded_shift
+from repro.nvdla.sdp import _rounded_shift
 from repro.runtime.backends import DEFAULT_BACKEND, ComputeBackend, \
     backend_profile, get_backend, resolve_stage_backends
 from repro.runtime.lowering import CompiledNetwork, StagePlan
 
-#: Bound on the fused-path cycle memo (entries are (stage index,
+#: Bound on the executor's cycle memo (entries are (stage index,
 #: output-pixel count) pairs).  Large enough that a whole CNN program
 #: plus a long decode's worth of distinct sequence lengths stay warm;
 #: small enough that token-by-token serving can never grow executor
 #: state linearly with stream length.
-FUSED_CYCLE_MEMO_SIZE = 256
+CYCLE_MEMO_SIZE = 256
 
 
-class _FusedStage:
-    """Precomputed execution plan for one stage on the fused path.
+class _StageKernel:
+    """Precomputed execution plan for one stage.
 
-    Built lazily on the first fused batch: the per-group weight tensors
+    Built lazily on the stage's first batch: the per-group weight tensors
     are stacked into one (G, Kg, Cg, R, S) block so a single grouped
     einsum per kernel-window position covers every group at once
     (depthwise layers collapse from C python-loop iterations to R*S),
@@ -144,23 +144,23 @@ class BatchExecutor:
             ``"first/interior/last"`` spec) mixes backends per stage.
             Outputs are backend-independent (every backend computes the
             exact integer convolution); only cycle accounting differs.
-        fused: run the fused hot path — im2col window extraction,
-            grouped quantized matmul and SDP requantization in one
-            vectorized pass per stage with reused scratch buffers and
-            memoized cycle accounting.  Bit-identical (outputs and
-            cycles) to the unfused path on every backend and precision;
-            pinned by the randomized differential suite in
-            ``tests/runtime/test_fused.py``.
+
+    Each stage runs as one vectorized pass — window extraction,
+    grouped quantized matmul and SDP requantization — with reused
+    scratch buffers and memoized cycle accounting.  Outputs and cycles
+    (total and per stage) are bit-identical to the per-image reference
+    :meth:`~repro.runtime.runner.NetworkRunner.run_per_image` through
+    the cycle-level cores on every backend and precision; the
+    randomized differential suite in ``tests/runtime/test_fused.py``
+    pins that.
     """
 
     def __init__(
         self,
         net: CompiledNetwork,
         engine: "str | None" = None,
-        fused: bool = False,
     ) -> None:
         self.net = net
-        self.fused = bool(fused)
         self.stage_backends: "tuple[ComputeBackend, ...]" = \
             resolve_stage_backends(net, engine)
         if engine is None:
@@ -168,17 +168,16 @@ class BatchExecutor:
             self.engine = names.pop() if len(names) == 1 else "mixed"
         else:
             self.engine = backend_profile(engine).describe()
-        # Fused-path state: per-stage plans (stacked weights, fused
-        # permutations) and reusable scratch buffers, keyed by stage
-        # index + role; both built lazily on first use.  Cycle totals
-        # live in their own bounded LRU keyed (stage index, actual
-        # output pixels): autoregressive decode presents a different
-        # token count — hence a different output-pixel count — every
-        # step, and an unbounded per-shape memo would grow linearly
-        # with decoded tokens (the fixed-shape CNN assumption baked
-        # into the old per-stage memo).
-        self._fused_stages: "dict[int, _FusedStage]" = {}
-        self._fused_cycles: "OrderedDict[tuple, int]" = OrderedDict()
+        # Per-stage kernels (stacked weights, flat permutations) and
+        # reusable scratch buffers, keyed by stage index + role; both
+        # built lazily on first use.  Cycle totals live in their own
+        # bounded LRU keyed (stage index, actual output pixels):
+        # autoregressive decode presents a different token count —
+        # hence a different output-pixel count — every step, and an
+        # unbounded per-shape memo would grow linearly with decoded
+        # tokens.
+        self._kernels: "dict[int, _StageKernel]" = {}
+        self._cycle_memo: "OrderedDict[tuple, int]" = OrderedDict()
         self._scratch: "dict[tuple, np.ndarray]" = {}
 
     # ------------------------------------------------------------------
@@ -200,9 +199,8 @@ class BatchExecutor:
         total_cycles = 0
         # Folded-residual state: stage outputs a later stage adds to
         # its own requantized output (key -1 = the model input after
-        # the first stage's seam adapters).  Outputs are fresh arrays
-        # on both paths, so keeping references is safe across scratch
-        # reuse.
+        # the first stage's seam adapters).  Stage outputs are fresh
+        # arrays, so keeping references is safe across scratch reuse.
         saved: dict[int, np.ndarray] = {}
         save_input = self.net.needs_input_saved
         for index, (stage, backend) in enumerate(
@@ -216,14 +214,9 @@ class BatchExecutor:
                 if stage.residual_from is not None
                 else None
             )
-            if self.fused:
-                current, cycles = self._conv_fused(
-                    index, stage, current, backend, residual
-                )
-            else:
-                current, cycles = self._conv_batched(
-                    stage, current, backend, residual
-                )
+            current, cycles = self._conv(
+                index, stage, current, backend, residual
+            )
             if stage.save_output:
                 saved[index] = current
             cycles *= images.shape[0]
@@ -244,7 +237,6 @@ class BatchExecutor:
         cross a process boundary."""
         before = burst_map_cache_stats()
         output, records, cycles = self.run_batch(images)
-        after = burst_map_cache_stats()
         return {
             "output": output,
             "conv_cycles": cycles,
@@ -255,19 +247,7 @@ class BatchExecutor:
                 (record.name, record.kind, record.output_shape)
                 for record in records
             ),
-            "cache": {
-                "hits": after["hits"] - before["hits"],
-                "misses": after["misses"] - before["misses"],
-                "disk_hits": (
-                    after["disk_hits"] - before["disk_hits"]
-                ),
-                "disk_misses": (
-                    after["disk_misses"] - before["disk_misses"]
-                ),
-                "disk_writes": (
-                    after["disk_writes"] - before["disk_writes"]
-                ),
-            },
+            "cache": burst_map_cache_delta(before),
         }
 
     # --- seam adapters (batched) --------------------------------------
@@ -295,57 +275,6 @@ class BatchExecutor:
         return fit_spatial(batch, stage.fit_hw, first_axis=2)
 
     # --- conv execution -----------------------------------------------
-    def _conv_batched(
-        self,
-        stage: StagePlan,
-        batch: np.ndarray,
-        backend: ComputeBackend,
-        residual: "np.ndarray | None" = None,
-    ) -> tuple[np.ndarray, int]:
-        """One conv stage over the whole batch; returns per-image
-        cycles (the caller scales by batch size).  A folded residual is
-        added to the requantized output after the SDP (see
-        :meth:`_add_residual`)."""
-        layer = stage.layer
-        channels_per_group = layer.channels_per_group
-        pad_h, pad_w = layer.padding_h, layer.padding_w
-        padded = np.pad(
-            batch,
-            ((0, 0), (0, 0), (pad_h, pad_h), (pad_w, pad_w)),
-            mode="constant",
-        )
-        outputs = []
-        cycles = 0
-        out_pixels: "int | None" = None
-        for group, weights in enumerate(stage.weights):
-            group_input = padded[
-                :,
-                group * channels_per_group : (group + 1)
-                * channels_per_group,
-            ]
-            schedule = stage.schedules[group]
-            if schedule is not None:
-                group_input = group_input[:, schedule.channel_order]
-            group_out = golden_conv2d_batched(
-                group_input, weights, layer.stride, 0
-            )
-            if schedule is not None:
-                group_out = group_out[:, stage.kernel_restores[group]]
-            outputs.append(group_out)
-            if stage.dynamic_hw and out_pixels is None:
-                out_pixels = group_out.shape[-2] * group_out.shape[-1]
-            cycles += self.group_cycles(
-                stage, weights, backend, out_pixels=out_pixels
-            )
-        psums = (
-            np.concatenate(outputs, axis=1)
-            if len(outputs) > 1
-            else outputs[0]
-        )
-        out = Sdp(stage.sdp).apply_many(psums)
-        return self._add_residual(stage, out, residual), cycles
-
-    # --- fused hot path -----------------------------------------------
     def _scratch_buf(self, key: tuple, shape: tuple) -> np.ndarray:
         """Reusable int64 scratch, reallocated only on shape change
         (e.g. a different batch size).  Fresh buffers are zeroed, so
@@ -357,11 +286,11 @@ class BatchExecutor:
             self._scratch[key] = buffer
         return buffer
 
-    def _fused_stage(self, index: int, stage: StagePlan) -> _FusedStage:
-        plan = self._fused_stages.get(index)
+    def _kernel(self, index: int, stage: StagePlan) -> _StageKernel:
+        plan = self._kernels.get(index)
         if plan is None:
-            plan = _FusedStage(stage)
-            self._fused_stages[index] = plan
+            plan = _StageKernel(stage)
+            self._kernels[index] = plan
         return plan
 
     def _stage_cycles(
@@ -373,13 +302,13 @@ class BatchExecutor:
     ) -> int:
         """Memoized per-image cycles of one whole stage at one actual
         output-pixel count.  Bounded LRU (see
-        :data:`FUSED_CYCLE_MEMO_SIZE`): growing-sequence decode streams
+        :data:`CYCLE_MEMO_SIZE`): growing-sequence decode streams
         present a new shape every token, and the memo must not grow
         with stream length."""
         key = (index, out_pixels)
-        cached = self._fused_cycles.get(key)
+        cached = self._cycle_memo.get(key)
         if cached is not None:
-            self._fused_cycles.move_to_end(key)
+            self._cycle_memo.move_to_end(key)
             return cached
         cycles = sum(
             self.group_cycles(
@@ -387,9 +316,9 @@ class BatchExecutor:
             )
             for weights in stage.weights
         )
-        self._fused_cycles[key] = cycles
-        while len(self._fused_cycles) > FUSED_CYCLE_MEMO_SIZE:
-            self._fused_cycles.popitem(last=False)
+        self._cycle_memo[key] = cycles
+        while len(self._cycle_memo) > CYCLE_MEMO_SIZE:
+            self._cycle_memo.popitem(last=False)
         return cycles
 
     def _add_residual(
@@ -418,7 +347,7 @@ class BatchExecutor:
             outputs + residual, spec.min_value, spec.max_value
         )
 
-    def _conv_fused(
+    def _conv(
         self,
         index: int,
         stage: StagePlan,
@@ -426,15 +355,16 @@ class BatchExecutor:
         backend: ComputeBackend,
         residual: "np.ndarray | None" = None,
     ) -> tuple[np.ndarray, int]:
-        """Fused equivalent of :meth:`_conv_batched` + SDP: one grouped
-        einsum per kernel-window position over *all* groups at once,
-        accumulating into a reused scratch tensor, with the SDP
-        requantization applied in place on the accumulator.  Every
-        operation is the same exact int64 arithmetic as the unfused
-        path (integer addition is order-independent), so outputs and
-        cycles are bit-identical — only the loop structure and
-        allocation behavior differ."""
-        plan = self._fused_stage(index, stage)
+        """One conv stage over the whole batch, SDP included; returns
+        per-image cycles (the caller scales by batch size).  One
+        grouped einsum per kernel-window position covers *all* groups
+        at once, accumulating into a reused scratch tensor, and the
+        SDP requantization runs in place on the accumulator.  Every
+        operation is exact int64 arithmetic (integer addition is
+        order-independent), so outputs match the per-image cores bit
+        for bit.  A folded residual is added to the requantized output
+        after the SDP (see :meth:`_add_residual`)."""
+        plan = self._kernel(index, stage)
         layer = stage.layer
         stride = layer.stride
         pad_h, pad_w = layer.padding_h, layer.padding_w
@@ -503,10 +433,10 @@ class BatchExecutor:
             backend,
             out_height * out_width if stage.dynamic_hw else None,
         )
-        out = self._sdp_fused(stage, values)
+        out = self._sdp(stage, values)
         return self._add_residual(stage, out, residual), cycles
 
-    def _sdp_fused(
+    def _sdp(
         self, stage: StagePlan, values: np.ndarray
     ) -> np.ndarray:
         """In-place SDP requantization on the (possibly scratch-backed)

@@ -4,11 +4,13 @@
 end to end (conv -> SDP -> PDP) at batch size B.  Two execution paths
 produce bit-identical outputs:
 
-* :meth:`NetworkRunner.run` — the **vectorized** path: every layer runs
-  once for the whole batch (one einsum pass per kernel-window position
-  via :func:`~repro.nvdla.dataflow.golden_conv2d_batched`, batched SDP /
-  PDP), with cycle accounting from the engines' analytic models — which
-  the engine-equivalence tests pin to the tick/burst simulations.
+* :meth:`NetworkRunner.run` — the **vectorized** path: every stage runs
+  once for the whole batch on the
+  :class:`~repro.runtime.executor.BatchExecutor` (one grouped einsum
+  per kernel-window position, SDP requantization in place on the
+  accumulator, batched PDP), with cycle accounting from the engines'
+  analytic models — which the engine-equivalence tests pin to the
+  tick/burst simulations.
 * :meth:`NetworkRunner.run_per_image` — the **reference** path: each
   image flows through the real convolution cores
   (:class:`~repro.core.tempus_core.TempusCore` /
@@ -33,7 +35,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.latency import burst_map_cache_stats
+from repro.core.latency import burst_map_cache_delta, \
+    burst_map_cache_stats
 from repro.errors import DataflowError
 from repro.models.weights import load_quantized_model
 from repro.nvdla.config import CoreConfig
@@ -66,7 +69,7 @@ class NetworkResult:
         conv_cycles: total conv-core cycles across the batch.
         macs: useful multiply-accumulates across the batch.
         cache: burst-map cache delta for this run
-            ({"hits", "misses", "hit_rate"}).
+            (:func:`~repro.core.latency.cache_record`).
     """
 
     model: str
@@ -107,7 +110,6 @@ class NetworkRunner:
         input_size: int | None = None,
         code: UnaryCode | None = None,
         precision=None,
-        fused: bool = False,
     ) -> None:
         """Args:
         config: MAC-array geometry/precision (defaults to 16x16 INT8).
@@ -124,11 +126,6 @@ class NetworkRunner:
             format.  Defaults to uniform at ``config.precision``.
             When a profile is given, the array geometry is provisioned
             at the profile's widest member (``config`` supplies k/n).
-        fused: run batches on the executor's fused hot path (one
-            vectorized im2col + grouped matmul + SDP pass per stage
-            with scratch reuse) — bit-identical in outputs and cycles
-            to the default path; see
-            :class:`~repro.runtime.executor.BatchExecutor`.
         """
         self.backend_profile = backend_profile(engine)
         self.config = config if config is not None else CoreConfig()
@@ -145,7 +142,6 @@ class NetworkRunner:
         self.scale = scale
         self.input_size = input_size
         self.code = code
-        self.fused = bool(fused)
         self._compiled: dict[str, CompiledNetwork] = {}
         self._executors: dict[str, BatchExecutor] = {}
 
@@ -176,7 +172,7 @@ class NetworkRunner:
             # engine=None: account on the per-stage backends recorded
             # at lowering (this runner's backend profile).
             self._executors[model_name] = BatchExecutor(
-                self.compile(model_name), None, fused=self.fused
+                self.compile(model_name), None
             )
         return self._executors[model_name]
 
@@ -218,7 +214,7 @@ class NetworkRunner:
             stages=records,
             conv_cycles=total_cycles,
             macs=net.macs_per_image * images.shape[0],
-            cache=self._cache_delta(before),
+            cache=burst_map_cache_delta(before),
         )
 
     def run_per_image(
@@ -313,7 +309,7 @@ class NetworkRunner:
             stages=tuple(records),
             conv_cycles=total_cycles,
             macs=net.macs_per_image * images.shape[0],
-            cache=self._cache_delta(before),
+            cache=burst_map_cache_delta(before),
         )
 
     # ------------------------------------------------------------------
@@ -364,24 +360,6 @@ class NetworkRunner:
                 f"(B,) + {expected}"
             )
         return net.precision.check_array(images)
-
-    def _cache_delta(self, before: dict) -> dict:
-        after = burst_map_cache_stats()
-        hits = after["hits"] - before["hits"]
-        misses = after["misses"] - before["misses"]
-        lookups = hits + misses
-        return {
-            "hits": hits,
-            "misses": misses,
-            "hit_rate": hits / lookups if lookups else 0.0,
-            "disk_hits": after["disk_hits"] - before["disk_hits"],
-            "disk_misses": (
-                after["disk_misses"] - before["disk_misses"]
-            ),
-            "disk_writes": (
-                after["disk_writes"] - before["disk_writes"]
-            ),
-        }
 
     # --- seam adapters (per-image) ------------------------------------
     def _fit_single(

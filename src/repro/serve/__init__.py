@@ -5,16 +5,17 @@
   bounded depth with block/reject/shed admission control, eager
   dispatch for idle pools).
 - :class:`~repro.serve.sharded.ShardedRunner` — compile once, fork N
-  shard workers, dispatch coalesced batches round-robin, reassemble
-  bit-identical results.
+  shard workers; ``run()`` serves a whole request stream through the
+  gateway and returns a bit-identical batch result.
 - :class:`~repro.serve.supervisor.ShardSupervisor` — worker
   supervision: dead/hung-shard detection (on its own probe thread),
   capped-backoff respawn, retry/redispatch with deadlines and
   duplicate discard, graceful degradation to in-process execution.
-- :class:`~repro.serve.gateway.ServingGateway` — asyncio front-end
-  with pipelined dispatch/collection over the supervised pool and a
-  per-response latency decomposition (queue wait / dispatch / compute
-  / reassembly).
+- :class:`~repro.serve.gateway.ServingGateway` — the one dispatch
+  loop: a dispatch thread and a collect thread pipeline batches over
+  the supervised pool, with a per-response latency decomposition
+  (queue wait / dispatch / compute / reassembly); ``submit()`` works
+  from any thread and ``submit_async()`` adapts it for asyncio.
 - :mod:`~repro.serve.loadgen` — seeded Poisson/burst/uniform open-loop
   load generation, closed-loop concurrency sweeps, p50/p90/p99 stats
   and the max-rate-at-p99-SLO binary search.

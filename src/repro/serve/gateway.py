@@ -1,26 +1,30 @@
-"""Asyncio serving gateway: pipelined dispatch over the shard pool.
+"""Serving gateway: pipelined dispatch over the shard pool.
 
-:class:`~repro.serve.sharded.ShardedRunner` serves a request stream
-with a *synchronous* collection phase: every request is submitted,
-then results are gathered.  The gateway is the tier above it for live
-traffic — requests arrive continuously (from the open/closed-loop
-generators in :mod:`repro.serve.loadgen`, or any asyncio front-end)
-and three concerns run **concurrently** so no worker ever waits on the
-parent:
+The gateway is the one dispatch loop over a
+:class:`~repro.serve.sharded.ShardedRunner`'s supervised pool.  Live
+traffic (the open/closed-loop generators in :mod:`repro.serve.loadgen`,
+or any thread) submits requests continuously, and
+:meth:`ShardedRunner.run <repro.serve.sharded.ShardedRunner.run>` is a
+batch client of it: it submits a whole request stream, then drains.
+Three concerns run **concurrently**, on the caller's threads plus two
+gateway threads (``gateway-dispatch`` and ``gateway-collect``), so no
+worker ever waits on the parent:
 
-* **submit** (any thread / coroutine) — :meth:`ServingGateway.submit`
+* **submit** (any thread) — :meth:`ServingGateway.submit`
   enqueues one image into the :class:`~repro.serve.queue.RequestQueue`
   (admission control included: block / reject / shed) and returns a
   :class:`concurrent.futures.Future` resolving to a
-  :class:`GatewayResponse`;
-* **dispatch** (gateway thread) — pulls coalesced batches and ships
-  them to the :class:`~repro.serve.supervisor.ShardSupervisor` (over
-  the shm transport where enabled).  While the pool has idle capacity
-  the pull is *eager* (no coalescing window); once every worker is
-  busy it coalesces up to ``max_batch``/``max_wait`` — so batch N+1
-  is being coalesced and written to shared memory while batch N
-  computes;
-* **collect** (gateway thread) — blocks on
+  :class:`GatewayResponse` (:meth:`ServingGateway.submit_async` adapts
+  it for asyncio callers);
+* **dispatch** (``gateway-dispatch`` thread) — pulls coalesced
+  batches and ships them to the
+  :class:`~repro.serve.supervisor.ShardSupervisor` (over the shm
+  transport where enabled).  With ``eager`` dispatch (the default)
+  the pull skips the coalescing window while the pool has idle
+  capacity; once every worker is busy it coalesces up to
+  ``max_batch``/``max_wait`` — so batch N+1 is being coalesced and
+  written to shared memory while batch N computes;
+* **collect** (``gateway-collect`` thread) — blocks on
   :meth:`~repro.serve.supervisor.ShardSupervisor.next_result`,
   reassembles outputs by request sequence number and resolves the
   response futures, while the dispatcher keeps feeding the pool.
@@ -53,6 +57,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.latency import CACHE_COUNTERS
 from repro.errors import DataflowError
 from repro.serve.queue import Request, RequestQueue
 
@@ -115,6 +120,8 @@ class GatewayResult:
     submitted request, so the tensor — and ``conv_cycles`` /
     ``stage_cycles`` — is directly comparable to the single-process
     :meth:`~repro.runtime.runner.NetworkRunner.run` reference.
+    ``stage_meta`` holds each stage's (name, kind, per-job output
+    shape), aligned with ``stage_cycles``.
     """
 
     model: str
@@ -125,6 +132,7 @@ class GatewayResult:
     conv_cycles: int
     shard_cycles: tuple
     stage_cycles: tuple
+    stage_meta: tuple
     cache: dict
     health: dict
     responses: tuple
@@ -158,11 +166,17 @@ class _Job:
 
 
 class ServingGateway:
-    """Pipelined asyncio front-end over a supervised shard pool.
+    """Pipelined front-end over a supervised shard pool.
+
+    Runs two threads of its own: ``gateway-dispatch`` pulls coalesced
+    batches off the request queue and hands them to the supervisor,
+    and ``gateway-collect`` reassembles results and resolves the
+    response futures.
 
     One gateway instance serves one request stream: construct it (the
     runner's pool starts/warms and a fresh supervisor stream begins),
-    submit requests from any thread or coroutine, then :meth:`finish`
+    submit requests from any thread (or coroutine, through
+    :meth:`submit_async`), then :meth:`finish`
     to drain and collect the aggregate :class:`GatewayResult`.  The
     underlying :class:`~repro.serve.sharded.ShardedRunner` stays warm
     across gateways, so back-to-back streams (an SLO search's probes)
@@ -202,7 +216,6 @@ class ServingGateway:
         eager: bool = True,
     ) -> None:
         runner.start(model_name)
-        self._runner = runner
         self._model = model_name
         self._net = runner.compile(model_name)
         self._supervisor = runner.supervisor
@@ -238,13 +251,8 @@ class ServingGateway:
         self._shard_cycles = [0] * self._supervisor.workers
         self._degraded_cycles = 0
         self._stage_cycles: "list[int] | None" = None
-        self._cache = {
-            "hits": 0,
-            "misses": 0,
-            "disk_hits": 0,
-            "disk_misses": 0,
-            "disk_writes": 0,
-        }
+        self._stage_meta: tuple = ()
+        self._cache = dict.fromkeys(CACHE_COUNTERS, 0)
         self._profile: "list[dict]" = []
         self._dispatcher = threading.Thread(
             target=self._dispatch_loop,
@@ -387,6 +395,7 @@ class ServingGateway:
                 self._cache[key] += record["cache"].get(key, 0)
             if self._stage_cycles is None:
                 self._stage_cycles = list(record["stage_cycles"])
+                self._stage_meta = record["stage_meta"]
             else:
                 for position, cycles in enumerate(
                     record["stage_cycles"]
@@ -480,7 +489,6 @@ class ServingGateway:
             health = self._supervisor.health()
             health["degraded_cycles"] = int(self._degraded_cycles)
             health["queue"] = self._queue.stats()
-            health["fused"] = self._runner.fused
             health["eager_dispatch"] = self.eager
             self._result = GatewayResult(
                 model=self._net.name,
@@ -491,6 +499,7 @@ class ServingGateway:
                 conv_cycles=int(self._conv_cycles),
                 shard_cycles=tuple(self._shard_cycles),
                 stage_cycles=tuple(self._stage_cycles or ()),
+                stage_meta=tuple(self._stage_meta),
                 cache=dict(self._cache),
                 health=health,
                 responses=responses,

@@ -5,12 +5,14 @@ area-efficient compute units instead of growing one): a
 :class:`ShardedRunner` compiles a zoo model **once** in the parent
 process (:func:`~repro.runtime.lowering.lower_model`) and ships the
 lowered program to N worker processes, each holding its own
-:class:`~repro.runtime.executor.BatchExecutor`.  A dynamic-batching
-front-end (:class:`~repro.serve.queue.RequestQueue`) coalesces
-single-image requests into batches and a dispatcher thread hands them
-to a :class:`~repro.serve.supervisor.ShardSupervisor`, which scatters
-them round-robin across healthy shards; results are reassembled by
-request sequence number.
+:class:`~repro.runtime.executor.BatchExecutor`, under a
+:class:`~repro.serve.supervisor.ShardSupervisor` that scatters jobs
+round-robin across healthy shards.  The runner owns no dispatch loop:
+:meth:`ShardedRunner.run` is a batch client of
+:class:`~repro.serve.gateway.ServingGateway`, which coalesces the
+submitted single-image requests into batches on its dispatch thread
+and reassembles the results by request sequence number on its collect
+thread.
 
 Because every shard executes the *same* ``BatchExecutor`` code path as
 the in-process :class:`~repro.runtime.runner.NetworkRunner`, and both
@@ -39,20 +41,21 @@ from __future__ import annotations
 
 import multiprocessing
 import os
-import threading
 import time
 import traceback
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.latency import configure_burst_map_disk_cache
+from repro.core.latency import cache_record, \
+    configure_burst_map_disk_cache
 from repro.errors import DataflowError
 from repro.nvdla.pipeline import StageResult
 from repro.runtime.executor import BatchExecutor
 from repro.runtime.lowering import CompiledNetwork
 from repro.runtime.runner import NetworkResult, NetworkRunner
-from repro.serve.queue import ADMISSION_POLICIES, Request, RequestQueue
+from repro.serve.gateway import ServingGateway
+from repro.serve.queue import ADMISSION_POLICIES
 from repro.serve.shm import ShmArena, ShmRef, default_transport, \
     shm_available
 from repro.serve.supervisor import ShardSupervisor
@@ -97,16 +100,15 @@ def _worker_main(
 ) -> None:
     """Shard worker loop: execute dispatched batches until poisoned.
 
-    Runs in a child process.  ``payload`` is ``(net, engine, fused,
+    Runs in a child process.  ``payload`` is ``(net, engine,
     cache_dir)`` — with the ``fork`` start method it arrives by
     inheritance, with ``spawn`` it is pickled.  Every job is executed
     through the same :class:`BatchExecutor` the single-process runner
     uses; ``engine`` is None so the executor accounts on the per-stage
-    compute backends recorded in the compiled network at lowering,
-    ``fused`` selects the executor's fused hot path, and ``cache_dir``
-    points the worker at the shared persistent burst-map cache (so
-    spawn-mode and respawned workers warm from disk instead of
-    recomputing).
+    compute backends recorded in the compiled network at lowering, and
+    ``cache_dir`` points the worker at the shared persistent burst-map
+    cache (so spawn-mode and respawned workers warm from disk instead
+    of recomputing).
 
     ``shm_prefix`` enables the shared-memory transport: job messages
     then carry :class:`~repro.serve.shm.ShmRef` handles into the
@@ -127,10 +129,10 @@ def _worker_main(
     worker-side stack — so the parent's :class:`DataflowError` names
     the failing stage and line instead of a bare ``repr``.
     """
-    net, engine, fused, cache_dir = payload
+    net, engine, cache_dir = payload
     if cache_dir is not None:
         configure_burst_map_disk_cache(cache_dir)
-    executor = BatchExecutor(net, engine, fused=fused)
+    executor = BatchExecutor(net, engine)
     arena = (
         ShmArena(shm_prefix, flagged=True)
         if shm_prefix is not None
@@ -254,7 +256,6 @@ class ShardedRunner:
         min_live: int = 1,
         max_attempts: int = 5,
         transport: "str | None" = None,
-        fused: bool = False,
         cache_dir=None,
     ) -> None:
         """Serving-specific args (see :class:`NetworkRunner` for the
@@ -269,9 +270,6 @@ class ShardedRunner:
             the host supports them) or "pickle" (through the queues).
             Transport choice cannot affect results: both paths feed
             the same executor the same bytes.
-        fused: run every execution path (workers *and* the degraded
-            in-process fallback) on the executor's fused hot path —
-            bit-identical in outputs and cycles to unfused.
         cache_dir: persistent burst-map cache directory shared by the
             parent and every worker incarnation (None keeps whatever
             :func:`repro.core.latency.configure_burst_map_disk_cache`
@@ -336,7 +334,6 @@ class ShardedRunner:
         self.min_live = min_live
         self.max_attempts = max_attempts
         self.transport = transport
-        self.fused = bool(fused)
         self.cache_dir = (
             None if cache_dir is None else str(cache_dir)
         )
@@ -351,7 +348,6 @@ class ShardedRunner:
             input_size=input_size,
             code=code,
             precision=precision,
-            fused=fused,
         )
         methods = multiprocessing.get_all_start_methods()
         if start_method is None:
@@ -407,10 +403,10 @@ class ShardedRunner:
         net = self.compile(model_name)
         # engine=None: workers account on the per-stage backends the
         # compiled network carries (the runner's backend profile).
-        payload = (net, None, self.fused, self.cache_dir)
+        payload = (net, None, self.cache_dir)
         # The degraded path runs the parent's own executor — the same
-        # BatchExecutor code path (and fused setting) the shards run,
-        # so degraded batches stay bit-identical in outputs and cycles.
+        # BatchExecutor code path the shards run, so degraded batches
+        # stay bit-identical in outputs and cycles.
         run_job = self._runner.executor(model_name).run_job
 
         def fallback(images):
@@ -472,97 +468,30 @@ class ShardedRunner:
         real faults, as long as the supervisor retains one live
         execution path (worst case: the in-process degraded fallback).
 
+        The stream is served through a
+        :class:`~repro.serve.gateway.ServingGateway` with ``eager``
+        dispatch off: the whole stream is queued up front, so the
+        gateway coalesces full ``max_batch``/``max_wait`` batches.
+
         The shard pool is released on every error path; a successful
         run leaves the pool warm for the next stream.
         """
-        self.start(model_name)
         try:
-            return self._run_stream(model_name, batch)
+            net = self.compile(model_name)
+            images = self._runner._as_batch(net, model_name, batch)
+            gateway = ServingGateway(self, model_name, eager=False)
+            try:
+                tickets = [gateway.submit(image) for image in images]
+            finally:
+                served = gateway.finish()
+            for ticket in tickets:
+                ticket.result()  # raises for a request admission shed
         except BaseException:
             # Release the pool on *every* error path (including
             # KeyboardInterrupt) so no worker or queue feeder thread
             # outlives a failed stream.
             self.stop()
             raise
-
-    def _run_stream(
-        self, model_name: str, batch: "int | np.ndarray"
-    ) -> ShardedResult:
-        supervisor = self._supervisor
-        supervisor.begin_stream()
-        net = self._runner.compile(model_name)
-        images = self._runner._as_batch(net, model_name, batch)
-        queue = RequestQueue(
-            max_batch=self.max_batch,
-            max_wait=self.max_wait,
-            max_pending=self.max_pending,
-            admission=self.admission,
-        )
-        jobs: dict[int, list[Request]] = {}
-        dispatch_errors: list[BaseException] = []
-
-        def _dispatch() -> None:
-            job_id = 0
-            try:
-                while True:
-                    coalesced = queue.next_batch()
-                    if coalesced is None:
-                        return
-                    jobs[job_id] = coalesced
-                    supervisor.submit(
-                        job_id,
-                        np.stack(
-                            [request.image for request in coalesced]
-                        ),
-                    )
-                    job_id += 1
-            except BaseException as error:
-                dispatch_errors.append(error)
-
-        dispatcher = threading.Thread(target=_dispatch, daemon=True)
-        dispatcher.start()
-        for index in range(images.shape[0]):
-            queue.submit(images[index])
-        queue.close()
-        dispatcher.join()
-        if dispatch_errors:
-            raise DataflowError(
-                f"dispatcher failed: {dispatch_errors[0]!r}"
-            )
-
-        outputs: "list[np.ndarray | None]" = [None] * images.shape[0]
-        stage_cycles: "list[int] | None" = None
-        stage_meta = None
-        total_cycles = 0
-        shard_cycles = [0] * supervisor.workers
-        degraded_cycles = 0
-        cache_hits = 0
-        cache_misses = 0
-        disk_cache = {"disk_hits": 0, "disk_misses": 0,
-                      "disk_writes": 0}
-        for _ in range(len(jobs)):
-            job_id, shard_index, record = supervisor.next_result()
-            requests = jobs[job_id]
-            for row, request in enumerate(requests):
-                outputs[request.seq] = record["output"][row]
-            total_cycles += record["conv_cycles"]
-            if shard_index is None:
-                degraded_cycles += record["conv_cycles"]
-            else:
-                shard_cycles[shard_index] += record["conv_cycles"]
-            cache_hits += record["cache"]["hits"]
-            cache_misses += record["cache"]["misses"]
-            for key in disk_cache:
-                disk_cache[key] += record["cache"].get(key, 0)
-            if stage_cycles is None:
-                stage_cycles = list(record["stage_cycles"])
-                stage_meta = record["stage_meta"]
-            else:
-                for position, cycles in enumerate(
-                    record["stage_cycles"]
-                ):
-                    stage_cycles[position] += cycles
-        output = np.stack(outputs)
         records = tuple(
             StageResult(
                 name=name,
@@ -573,31 +502,22 @@ class ShardedRunner:
                 conv_cycles=cycles,
             )
             for (name, kind, shape), cycles in zip(
-                stage_meta, stage_cycles
+                served.stage_meta, served.stage_cycles
             )
         )
-        health = supervisor.health()
-        health["degraded_cycles"] = int(degraded_cycles)
-        health["queue"] = queue.stats()
-        health["fused"] = self.fused
+        health = served.health
         if self.fault_plan is not None:
             health["fault_plan"] = self.fault_plan.describe()
-        lookups = cache_hits + cache_misses
         return ShardedResult(
             model=net.name,
             engine=self.engine,
             batch_size=images.shape[0],
-            output=output,
+            output=served.output,
             stages=records,
-            conv_cycles=total_cycles,
+            conv_cycles=served.conv_cycles,
             macs=net.macs_per_image * images.shape[0],
-            cache={
-                "hits": cache_hits,
-                "misses": cache_misses,
-                "hit_rate": cache_hits / lookups if lookups else 0.0,
-                **disk_cache,
-            },
-            shard_cycles=tuple(shard_cycles),
-            jobs=len(jobs),
+            cache=cache_record(served.cache),
+            shard_cycles=served.shard_cycles,
+            jobs=served.jobs,
             health=health,
         )

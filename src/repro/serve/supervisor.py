@@ -174,7 +174,7 @@ class ShardSupervisor:
         max_attempts: int = 5,
         fallback=None,
         poll_interval: float = 0.05,
-        transport: str = "pickle",
+        transport: str,
         shm_base: "str | None" = None,
     ) -> None:
         if workers < 1:

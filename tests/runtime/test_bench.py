@@ -54,6 +54,26 @@ class TestNetworkBenchmark:
         assert "mobilenet_v2" in text and "resnet18" in text
         assert "cache hit" in text
 
+    def test_cache_hit_reads_dash_without_lookups(self, payload):
+        """A run that looked nothing up (its cycles came from the
+        executor's memo) prints ``-``, not a misleading 0.00."""
+        first, second = (
+            json.loads(json.dumps(record)) for record in payload["models"]
+        )
+        first["engines"]["tempus"]["cache"].update(
+            hits=3, misses=1, hit_rate=0.75
+        )
+        second["engines"]["tempus"]["cache"].update(
+            hits=0, misses=0, hit_rate=0.0
+        )
+        lines = render_benchmark(
+            {**payload, "models": [first, second]}
+        ).splitlines()
+        header = [cell.strip() for cell in lines[1].split("|")]
+        column = header.index("cache hit")
+        cells = [line.split("|")[column].strip() for line in lines[3:]]
+        assert cells == ["0.75", "-"]
+
     def test_unknown_model_rejected(self):
         with pytest.raises(DataflowError):
             run_network_benchmark(models=("lenet",), out_dir=None)

@@ -1,10 +1,12 @@
-"""Randomized differential tests: fused executor == unfused executor.
+"""Randomized differential tests: batched executor == per-image cores.
 
-The fused hot path (single grouped-einsum conv + in-place SDP with
-per-stage scratch reuse) is a pure host-speed optimization — it must
-be **bit-identical** to the stage-at-a-time reference path in outputs
-AND cycle accounting (total and per stage), for every backend, every
-precision profile, every batch size, with and without scheduling.
+The batched executor (single grouped-einsum conv + in-place SDP with
+per-stage scratch reuse) is the one fast path; its independent oracle
+is :meth:`NetworkRunner.run_per_image`, which loops every image
+through the stage backend's real core.  The two must be
+**bit-identical** in outputs AND cycle accounting (total and per
+stage), for every backend, every precision profile, every batch size,
+with and without scheduling.
 
 All randomness flows from the ``fuzz_rng`` fixture, which derives from
 the ``PYTEST_SEED`` environment variable; a failure report prints the
@@ -37,31 +39,30 @@ FUZZ_BACKENDS = (
 TINY = dict(scale=0.06, input_size=16)
 
 
-def _assert_identical(fused_job, plain_job, context):
+def _assert_identical(job, reference, context):
+    """One executor job record against a ``run_per_image`` result."""
     assert np.array_equal(
-        fused_job["output"], plain_job["output"]
+        job["output"], reference.output
     ), f"output mismatch: {context}"
     assert (
-        fused_job["conv_cycles"] == plain_job["conv_cycles"]
+        job["conv_cycles"] == reference.conv_cycles
     ), f"total cycles mismatch: {context}"
-    assert (
-        fused_job["stage_cycles"] == plain_job["stage_cycles"]
+    assert job["stage_cycles"] == tuple(
+        record.conv_cycles for record in reference.stages
     ), f"per-stage cycles mismatch: {context}"
-    assert (
-        fused_job["stage_meta"] == plain_job["stage_meta"]
-    ), f"stage metadata mismatch: {context}"
+    assert [meta[:2] for meta in job["stage_meta"]] == [
+        (record.name, record.kind) for record in reference.stages
+    ], f"stage metadata mismatch: {context}"
 
 
 def _run_pair(runner, model, images):
-    net = runner.compile(model)
-    plain = BatchExecutor(net).run_job(images)
-    fused = BatchExecutor(net, fused=True).run_job(images)
-    return fused, plain
+    job = BatchExecutor(runner.compile(model)).run_job(images)
+    return job, runner.run_per_image(model, images)
 
 
 def test_fused_differential_random_scenarios(fuzz_rng):
     """Seeded random sweep over net x backend x precision x batch x
-    array geometry: the fused path may not diverge anywhere."""
+    array geometry: the executor may not diverge anywhere."""
     for _ in range(6):
         scenario = {
             "model": FUZZ_MODELS[
@@ -88,8 +89,8 @@ def test_fused_differential_random_scenarios(fuzz_rng):
         images = net.precision.random_array(
             fuzz_rng, (scenario["batch"],) + tuple(net.input_shape)
         )
-        fused, plain = _run_pair(runner, scenario["model"], images)
-        _assert_identical(fused, plain, f"scenario={scenario}")
+        job, reference = _run_pair(runner, scenario["model"], images)
+        _assert_identical(job, reference, f"scenario={scenario}")
 
 
 @pytest.mark.parametrize("engine", FUZZ_BACKENDS[:4])
@@ -109,34 +110,33 @@ def test_fused_bit_identity_full_matrix(fuzz_rng, engine, precision):
     images = net.precision.random_array(
         fuzz_rng, (batch,) + tuple(net.input_shape)
     )
-    fused, plain = _run_pair(runner, model, images)
+    job, reference = _run_pair(runner, model, images)
     _assert_identical(
-        fused, plain, f"model={model} engine={engine} "
+        job, reference, f"model={model} engine={engine} "
         f"precision={precision} batch={batch}"
     )
 
 
 def test_fused_executor_reuses_scratch_across_batches(fuzz_rng):
-    """Repeated jobs through one fused executor stay correct while the
+    """Repeated jobs through one executor stay correct while the
     scratch buffers are recycled (the pad borders must read zero on
     every pass, not just the first)."""
     runner = NetworkRunner(CoreConfig(k=4, n=4), **TINY)
     net = runner.compile("resnet18")
-    plain = BatchExecutor(net)
-    fused = BatchExecutor(net, fused=True)
+    executor = BatchExecutor(net)
     for round_index in range(3):
         batch = int(fuzz_rng.integers(1, 5))
         images = net.precision.random_array(
             fuzz_rng, (batch,) + tuple(net.input_shape)
         )
         _assert_identical(
-            fused.run_job(images),
-            plain.run_job(images),
+            executor.run_job(images),
+            runner.run_per_image("resnet18", images),
             f"round={round_index} batch={batch}",
         )
-    # Reuse happened: plans and scratch persisted across jobs.
-    assert fused._fused_stages
-    assert fused._scratch
+    # Reuse happened: kernels and scratch persisted across jobs.
+    assert executor._kernels
+    assert executor._scratch
 
 
 def test_fused_output_not_aliased_to_scratch(fuzz_rng):
@@ -144,13 +144,13 @@ def test_fused_output_not_aliased_to_scratch(fuzz_rng):
     same executor must not mutate an earlier batch's result."""
     runner = NetworkRunner(CoreConfig(k=4, n=4), **TINY)
     net = runner.compile("mobilenet_v2")
-    fused = BatchExecutor(net, fused=True)
+    executor = BatchExecutor(net)
     images = net.precision.random_array(
         fuzz_rng, (2,) + tuple(net.input_shape)
     )
-    first = fused.run_job(images)["output"]
+    first = executor.run_job(images)["output"]
     snapshot = first.copy()
-    fused.run_job(
+    executor.run_job(
         net.precision.random_array(
             fuzz_rng, (2,) + tuple(net.input_shape)
         )
@@ -158,26 +158,14 @@ def test_fused_output_not_aliased_to_scratch(fuzz_rng):
     assert np.array_equal(first, snapshot)
 
 
-def test_fused_flag_default_off():
-    """``fused`` is opt-in at every layer: the stock executor and the
-    runner-built executors take the reference path unless asked."""
-    runner = NetworkRunner(CoreConfig(k=4, n=4), **TINY)
-    net = runner.compile("resnet18")
-    assert BatchExecutor(net).fused is False
-    assert runner.executor("resnet18").fused is False
-    assert NetworkRunner(
-        CoreConfig(k=4, n=4), fused=True, **TINY
-    ).executor("resnet18").fused is True
-
-
 def test_fused_matches_int8_spec_bounds(fuzz_rng):
-    """Fused SDP requant clips into the stage output spec exactly like
-    the reference path (spot check on the paper's INT8 profile)."""
+    """The executor's in-place SDP requant clips into the stage output
+    spec (spot check on the paper's INT8 profile)."""
     runner = NetworkRunner(CoreConfig(k=4, n=4), **TINY)
     net = runner.compile("googlenet")
     images = net.precision.random_array(
         fuzz_rng, (3,) + tuple(net.input_shape)
     )
-    output = BatchExecutor(net, fused=True).run_job(images)["output"]
+    output = BatchExecutor(net).run_job(images)["output"]
     assert output.min() >= INT8.min_value
     assert output.max() <= INT8.max_value

@@ -106,13 +106,21 @@ class TestScheduling:
 
 class TestCache:
     def test_repeat_run_hits_warm_cache(self, config):
+        """A repeat run recomputes no burst map: the executor's cycle
+        memo (or, failing that, the warm burst-map cache) answers it,
+        and the answer matches a cold recomputation."""
         clear_burst_map_cache()
         runner = make_runner(config, "tempus")
         first = runner.run("resnet18", 2)
         second = runner.run("resnet18", 2)
-        assert second.cache["misses"] == 0
-        assert second.cache["hit_rate"] == 1.0
         assert first.cache["misses"] > 0
+        assert second.cache["misses"] == 0
+        assert second.stages == first.stages
+        clear_burst_map_cache()
+        cold = make_runner(config, "tempus").run("resnet18", 2)
+        assert cold.cache["misses"] > 0
+        assert cold.stages == second.stages
+        assert cold.conv_cycles == second.conv_cycles
 
     def test_reference_path_shares_cache_across_batch(self, config):
         clear_burst_map_cache()
